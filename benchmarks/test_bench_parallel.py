@@ -1,21 +1,12 @@
-"""Perf guards for the multi-core execution tiers.
+"""Perf guard for multi-core run fan-out (``repro.runtime.parallel``).
 
-Two claims, matching the two tiers of ``repro.runtime.parallel``:
-
-* **Tier A (process fan-out)** — a default-grid latency sweep run with
-  ``jobs=4`` must (a) return results byte-identical to the ``jobs=1`` run
-  (asserted unconditionally, on every machine) and (b) finish at least
-  2.5x faster on a machine with >= 4 cores.  The speedup assertion is
-  skipped on smaller runners — a 1-core container cannot exhibit it, and
-  pool overhead would make the guard meaningless there — but the
-  measurement is always taken and written to ``BENCH_parallel.json``.
-
-* **Tier B (parallel-DES shard groups)** — the grouped engine must replay
-  the serial engine's history byte for byte (this file pins a quick case;
-  the exhaustive equivalence battery lives in tests/test_parallel.py) and
-  its per-run overhead on a steady-state workload must stay bounded: the
-  windowed controller adds heap bookkeeping per event, not algorithmic
-  cost.
+A default-grid latency sweep run with ``jobs=4`` must (a) return results
+byte-identical to the ``jobs=1`` run (asserted unconditionally, on every
+machine) and (b) finish at least 2.5x faster on a machine with >= 4 cores.
+The speedup assertion is skipped on smaller runners — a 1-core container
+cannot exhibit it, and pool overhead would make the guard meaningless
+there — but the measurement is always taken and written to
+``BENCH_parallel.json``.
 """
 
 import json
@@ -24,8 +15,6 @@ import time
 
 from repro.analysis.metrics import SpeedupReport
 from repro.scenarios import ScenarioSpec, WorkloadSpec, run_latency_sweep
-from repro.scenarios.runner import ScenarioRunner
-from repro.scenarios.spec import ExecSpec
 
 from _helpers import write_bench_artifact
 
@@ -92,45 +81,3 @@ def test_sweep_jobs_speedup_guard(benchmark):
     if cores >= JOBS:
         assert report.speedup >= MIN_SPEEDUP
 
-
-def test_parallel_shards_overhead_guard(benchmark):
-    spec = ScenarioSpec(
-        name="parallel-guard-shards",
-        protocol="message-passing",
-        num_shards=4,
-        seed=0,
-        workload=WorkloadSpec(kind="uniform", txns=TXNS, batch=50, num_keys=2000),
-        check_mode="online",
-    )
-    grouped = spec.with_overrides(execution=ExecSpec(mode="parallel-shards", groups=2))
-
-    def run_pair():
-        walls = {}
-        for label, s in (("serial", spec), ("grouped", grouped)):
-            best = None
-            for _ in range(2):
-                start = time.perf_counter()
-                result = ScenarioRunner(s).run()
-                wall = time.perf_counter() - start
-                best = wall if best is None else min(best, wall)
-            walls[label] = (best, result)
-        return walls
-
-    walls = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    serial_wall, serial_result = walls["serial"]
-    grouped_wall, grouped_result = walls["grouped"]
-
-    # The strong property first: identical histories, event counts, output.
-    assert grouped_result.history_digest == serial_result.history_digest
-    assert json.dumps(serial_result.as_dict(), sort_keys=True) == json.dumps(
-        grouped_result.as_dict(), sort_keys=True
-    )
-
-    overhead = grouped_wall / serial_wall - 1.0
-    print(
-        f"\nparallel-DES guard: serial {serial_wall:.2f}s, 2-group "
-        f"{grouped_wall:.2f}s -> overhead {overhead * 100:.1f}%"
-    )
-    # The windowed controller is per-event constant work; 2x is the "it
-    # went algorithmically wrong" tripwire, not a performance target.
-    assert overhead <= 1.0

@@ -30,7 +30,6 @@ from repro.core.serializability import KeyHashSharding, SerializabilityScheme
 from repro.core.types import Decision, ShardId, TxnId
 from repro.runtime.events import Scheduler
 from repro.runtime.network import LatencyModel, LinkSpec, Network, UnitLatency
-from repro.runtime.parallel import GroupedScheduler, partition_contiguous
 from repro.spec.checker import CheckResult, TCSChecker
 from repro.spec.history import History
 from repro.store.kv import VersionedKVStore
@@ -50,7 +49,6 @@ class BaselineCluster:
         seed: int = 0,
         retry: Optional[RetryPolicy] = None,
         batch: Optional[BatchPolicy] = None,
-        groups: int = 0,
         read: Optional[ReadPolicy] = None,
         detector: Optional[DetectorPolicy] = None,
         link: Optional[LinkSpec] = None,
@@ -65,11 +63,7 @@ class BaselineCluster:
         self.shards: List[ShardId] = [f"shard-{i}" for i in range(num_shards)]
         self.scheme = scheme or SerializabilityScheme(KeyHashSharding(self.shards))
 
-        # groups > 0 selects the conservative parallel-DES engine (see
-        # repro.runtime.parallel): Paxos groups partition into that many
-        # scheduler groups, coordinators and clients stay in group 0.
-        self.exec_groups = groups
-        self.scheduler = GroupedScheduler(groups) if groups else Scheduler()
+        self.scheduler = Scheduler()
         self.network = Network(
             self.scheduler, latency=latency or UnitLatency(), seed=seed, link=link
         )
@@ -140,8 +134,6 @@ class BaselineCluster:
             for client in self.clients
         ]
 
-        if groups:
-            self.scheduler.install(self.network, self._group_partition())
         # Heartbeat pump (see Cluster.__init__): one weak recurring tick
         # armed exactly once at build, self-re-armed from inside the tick.
         self.pump = HeartbeatPump(self.scheduler, self._all_paxos_replicas, self.detector)
@@ -149,21 +141,6 @@ class BaselineCluster:
 
     def _all_paxos_replicas(self) -> List[Any]:
         return [r for group in self.groups.values() for r in group.replicas]
-
-    def _group_partition(self) -> Dict[str, int]:
-        """Shards to contiguous groups; replicas follow their shard; the
-        clients (the only history writers) and the dedicated coordinators
-        share group 0, preserving the serial history append order."""
-        shard_group = partition_contiguous(self.shards, self.exec_groups)
-        group_of: Dict[str, int] = {}
-        for shard, group in self.groups.items():
-            for pid in group.pids:
-                group_of[pid] = shard_group[shard]
-        for coordinator in self.coordinators:
-            group_of[coordinator.pid] = 0
-        for client in self.clients:
-            group_of[client.pid] = 0
-        return group_of
 
     # ------------------------------------------------------------------
     # transaction driving (same surface as Cluster)

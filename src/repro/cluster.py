@@ -50,7 +50,6 @@ from repro.rdma.broken import BrokenRdmaShardReplica
 from repro.rdma.replica import RdmaShardReplica
 from repro.runtime.events import Scheduler
 from repro.runtime.network import LatencyModel, LinkSpec, Network, UnitLatency
-from repro.runtime.parallel import GroupedScheduler, partition_contiguous
 from repro.spec.checker import CheckResult, TCSChecker
 from repro.spec.history import History
 from repro.spec.invariants import InvariantViolation, check_invariants
@@ -168,7 +167,6 @@ class Cluster:
         membership_policy: Optional[MembershipPolicy] = None,
         retry: Optional[RetryPolicy] = None,
         batch: Optional[BatchPolicy] = None,
-        groups: int = 0,
         read: Optional[ReadPolicy] = None,
         detector: Optional[DetectorPolicy] = None,
         link: Optional[LinkSpec] = None,
@@ -190,13 +188,7 @@ class Cluster:
             scheme = _ISOLATION_SCHEMES[isolation](KeyHashSharding(self.shards))
         self.scheme = scheme
 
-        # groups > 0 selects the conservative parallel-DES engine: shards
-        # partition into that many weakly-coupled groups, each with its own
-        # event heap, advanced window-by-window behind lookahead barriers
-        # (see repro.runtime.parallel).  Results are byte-identical to the
-        # serial engine for deterministic latency models.
-        self.exec_groups = groups
-        self.scheduler = GroupedScheduler(groups) if groups else Scheduler()
+        self.scheduler = Scheduler()
         self.network = Network(
             self.scheduler, latency=latency or UnitLatency(), seed=seed, link=link
         )
@@ -237,16 +229,12 @@ class Cluster:
         self._candidate_cache_version = -1
         if spec.post_build is not None:
             spec.post_build(self)
-        if groups:
-            self.scheduler.install(self.network, self._group_partition())
         if self.read.enabled:
-            # Bootstrap the shard leaders' read leases (after the parallel
-            # engine is installed, so the grant round-trip is partitioned
-            # like every other message).
+            # Bootstrap the shard leaders' read leases.
             self.request_read_leases()
         # Heartbeat pump: one cluster-level weak recurring tick, armed
-        # exactly once here — a consistent creation point in both engines —
-        # and self-re-armed only from inside the tick thereafter.
+        # exactly once here and self-re-armed only from inside the tick
+        # thereafter.
         self.pump = HeartbeatPump(
             self.scheduler, lambda: self.replicas.values(), self.detector
         )
@@ -255,25 +243,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _group_partition(self) -> Dict[str, int]:
-        """Process-to-group assignment for the parallel-DES engine.
-
-        Shards split into contiguous blocks (intra-shard traffic is the
-        dense part of the communication graph and stays intra-group);
-        replicas and spares follow their shard.  Clients and the
-        configuration service all live in group 0: clients are the only
-        history writers, so keeping them in one group preserves the serial
-        append order of the history, and the configuration service talks to
-        every shard anyway.
-        """
-        shard_group = partition_contiguous(self.shards, self.exec_groups)
-        group_of: Dict[str, int] = {self.config_service.pid: 0}
-        for pid, replica in self.replicas.items():
-            group_of[pid] = shard_group[replica.shard]
-        for client in self.clients:
-            group_of[client.pid] = 0
-        return group_of
-
     def _build_config_service(self) -> None:
         self.config_service = self.protocol_spec.config_service_cls("config-service")
         self.config_service.detector_confirmations = self.detector.confirmations

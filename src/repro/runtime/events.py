@@ -39,11 +39,6 @@ class Event:
     args: tuple = field(compare=False, default=())
     cancelled: bool = field(compare=False, default=False)
     scheduler: Optional["Scheduler"] = field(compare=False, default=None, repr=False)
-    # How much the event counts towards `events_fired`.  Always 1 in the
-    # serial engine; the grouped engine splits multicast delivery batches
-    # per destination group and zero-weights the fragments after the first,
-    # so event counts stay byte-identical to a serial run.
-    weight: int = field(compare=False, default=1)
     # Weak events never keep the simulation alive: `run`/`run_until` stop
     # once only weak events remain queued.  Background periodic activity
     # (heartbeat ticks) is scheduled weak so a recurring timer cannot turn
@@ -89,7 +84,8 @@ class Scheduler:
         """Schedule ``fn(*args)`` to run at absolute virtual time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        event = Event(time=time, seq=self._allocate_seq(), fn=fn, args=args, scheduler=self)
+        event = Event(time=time, seq=self._seq, fn=fn, args=args, scheduler=self)
+        self._seq += 1
         heapq.heappush(self._queue, event)
         self._live += 1
         return event
@@ -117,19 +113,6 @@ class Scheduler:
         event.weak = True
         self._live_weak += 1
         return event
-
-    def _allocate_seq(self) -> int:
-        """The tie-breaking sequence number for the next scheduled event.
-
-        Creation order: the serial engine's ``(time, seq)`` fire order is
-        the reference the grouped (parallel-DES) engine reproduces — there,
-        the ``seq`` slot carries a nested *order tag* encoding the same
-        creation order (see :mod:`repro.runtime.parallel`), and events are
-        built by the engine rather than through this counter.
-        """
-        seq = self._seq
-        self._seq += 1
-        return seq
 
     def _note_cancelled(self, event: Event) -> None:
         """Called by :meth:`Event.cancel`; keeps the live counts exact and
@@ -174,21 +157,10 @@ class Scheduler:
             # the live counter.
             event.scheduler = None
             self._now = event.time
-            self.events_fired += event.weight
+            self.events_fired += 1
             event.fn(*event.args)
             return True
         return False
-
-    def peek_time(self) -> Optional[float]:
-        """The virtual time of the next live event, or None when drained.
-
-        Discards cancelled heap heads as a side effect (same as stepping
-        would).  This is the barrier primitive of the grouped engine: the
-        controller computes each lookahead window from the minimum peek
-        across all group schedulers.
-        """
-        event = self._next_live()
-        return event.time if event is not None else None
 
     def _next_live(self) -> Optional[Event]:
         """The next event that will fire, discarding cancelled heap heads."""

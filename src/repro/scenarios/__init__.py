@@ -27,13 +27,11 @@ from repro.scenarios.executor import (
 )
 from repro.scenarios.spec import (
     CHECK_MODES,
-    EXEC_MODES,
     FAULT_ACTIONS,
     LATENCY_MODELS,
     PROTOCOL_BASELINE,
     WORKLOAD_KINDS,
     BatchSpec,
-    ExecSpec,
     FaultStep,
     LatencySpec,
     NetworkSpec,
@@ -90,7 +88,6 @@ __all__ = [
     "sort_bandwidth_grid",
     "sort_batch_grid",
     "sort_latency_grid",
-    "EXEC_MODES",
     "FAULT_ACTIONS",
     "LATENCY_MODELS",
     "PROTOCOL_BASELINE",
@@ -98,7 +95,6 @@ __all__ = [
     "BandwidthSweepResult",
     "BatchSpec",
     "BatchSweepResult",
-    "ExecSpec",
     "FaultStep",
     "LatencySpec",
     "LatencySweepResult",

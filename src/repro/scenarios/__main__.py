@@ -5,7 +5,6 @@ Usage::
     python -m repro.scenarios list
     python -m repro.scenarios run steady-state [--seed 7] [--txns 40] [--json]
     python -m repro.scenarios run steady-state bank-transfers --jobs 2
-    python -m repro.scenarios run steady-state --parallel-shards 2
     python -m repro.scenarios sweep steady-state --protocols message-passing,rdma
     python -m repro.scenarios sweep steady-state --latency default --jobs 4
     python -m repro.scenarios sweep steady-state \
@@ -37,13 +36,10 @@ model (bytes per delay, optional per-message overhead and commit-path
 toggles) and prints throughput, latency, bytes on the wire and FIFO queue
 stats per point (``--bandwidth default`` expands to off/8000/2000/500).
 
-Two independent parallelism knobs (see ``repro.runtime.parallel``):
-``--jobs N`` fans whole runs — the scenarios listed on ``run``, the grid
-points / protocols of a ``sweep`` — out over ``N`` worker processes
-(``0`` = one per core); ``--parallel-shards G`` runs each simulation on
-the conservative parallel-DES engine with ``G`` shard groups.  Both
-preserve output byte for byte: results always come back in spec order,
-and the grouped engine replays the exact serial event order.
+``--jobs N`` (see ``repro.runtime.parallel``) fans whole runs — the
+scenarios listed on ``run``, the grid points / protocols of a ``sweep`` —
+out over ``N`` worker processes (``0`` = one per core).  Output is byte
+for byte that of ``--jobs 1``: results always come back in spec order.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from repro.scenarios.executor import run_scenarios
 from repro.scenarios.latency import parse_latency
 from repro.scenarios.library import SCENARIOS, get_scenario, scenario_names
 from repro.scenarios.runner import run_sweep
-from repro.scenarios.spec import CHECK_MODES, ExecSpec, ScenarioError, ScenarioSpec
+from repro.scenarios.spec import CHECK_MODES, ScenarioError, ScenarioSpec
 from repro.scenarios.sweep import (
     parse_bandwidth_grid,
     parse_batch,
@@ -95,10 +91,6 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         workload_overrides["think_time"] = args.think_time
     if workload_overrides:
         overrides["workload"] = replace(spec.workload, **workload_overrides)
-    if getattr(args, "parallel_shards", None):
-        overrides["execution"] = replace(
-            spec.execution, mode="parallel-shards", groups=args.parallel_shards
-        )
     return spec.with_overrides(**overrides) if overrides else spec
 
 
@@ -248,15 +240,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="fan independent runs (scenarios, sweep grid points, protocols) "
         "out over N worker processes; 0 = one per core; results are "
         "byte-identical to --jobs 1",
-    )
-    parser.add_argument(
-        "--parallel-shards",
-        type=int,
-        default=None,
-        metavar="G",
-        help="run each simulation on the conservative parallel-DES engine "
-        "with G shard groups (needs a deterministic latency model; replays "
-        "the serial event order byte for byte)",
     )
     parser.add_argument("--json", action="store_true", help="emit the result as JSON")
 

@@ -310,9 +310,6 @@ class ScenarioRunner:
         read = spec.read.compile()
         detector = spec.detector.compile()
         link = spec.network.compile()
-        # Tier-B engine selection: groups > 0 builds the cluster on the
-        # conservative parallel-DES scheduler (byte-identical results).
-        groups = spec.execution.groups if spec.execution.mode == "parallel-shards" else 0
         if spec.protocol == PROTOCOL_BASELINE:
             self.cluster = BaselineCluster(
                 num_shards=spec.num_shards,
@@ -322,7 +319,6 @@ class ScenarioRunner:
                 seed=spec.seed,
                 retry=retry,
                 batch=batch,
-                groups=groups,
                 read=read,
                 detector=detector,
                 link=link,
@@ -341,7 +337,6 @@ class ScenarioRunner:
                 spares_per_shard=spec.spares_per_shard,
                 retry=retry,
                 batch=batch,
-                groups=groups,
                 read=read,
                 detector=detector,
                 link=link,
@@ -702,16 +697,19 @@ class ScenarioRunner:
             return True, "", []
         if spec.check_mode == "online":
             check = self.checker.result()
-            violations: List[Any] = []
-            if spec.protocol != PROTOCOL_BASELINE and spec.check_invariants:
-                violations = check_invariants(
-                    cluster.member_replicas_by_shard(), monitor=self.monitor
-                )
-            return check.ok, check.reason, violations
-        if spec.protocol == PROTOCOL_BASELINE:
-            check, violations = cluster.check()
         else:
-            check, violations = cluster.check(include_invariants=spec.check_invariants)
+            # "final": replay the finished history through the incremental
+            # checker (``attach`` replays recorded events, contradictions
+            # first).  Near-linear in the history, unlike the batch
+            # TCSChecker's all-pairs graph, which stays the tests' oracle.
+            replay = IncrementalTCSChecker(cluster.scheme, cluster.history)
+            replay.detach()
+            check = replay.result()
+        violations: List[Any] = []
+        if spec.protocol != PROTOCOL_BASELINE and spec.check_invariants:
+            violations = check_invariants(
+                cluster.member_replicas_by_shard(), cluster.history, monitor=self.monitor
+            )
         return check.ok, check.reason, violations
 
 

@@ -42,7 +42,7 @@ FAULT_ACTIONS = (
 
 CHECK_MODES = (
     "off",  # no history validation (contradiction detection stays on)
-    "final",  # batch TCSChecker over the full history at quiescence
+    "final",  # IncrementalTCSChecker replaying the finished history at quiescence
     "online",  # IncrementalTCSChecker subscribed to the history during the run
 )
 
@@ -562,50 +562,6 @@ class WorkloadSpec:
 
 PROTOCOL_BASELINE = "2pc-paxos"
 
-EXEC_MODES = (
-    "serial",  # the classic single-heap engine
-    "parallel-shards",  # conservative parallel-DES shard groups
-)
-
-#: Latency models whose ``delay`` never consults the RNG.  Only these are
-#: eligible for parallel-shards: random draws happen in event-execution
-#: order, which differs between the serial and the grouped engine.
-DETERMINISTIC_LATENCY_MODELS = ("unit", "fixed", "regions")
-
-
-@dataclass(frozen=True)
-class ExecSpec:
-    """How a scenario executes — never *what* it computes.
-
-    ``jobs`` is the Tier-A knob: how many worker processes fan out whole
-    runs (sweep grid points, repetitions); 0 means one per core.  ``mode``
-    and ``groups`` are the Tier-B knob: ``parallel-shards`` runs one
-    simulation on the grouped conservative-DES engine, partitioning the
-    shards into ``groups`` weakly-coupled groups.  Execution settings are
-    deliberately excluded from result dicts: the same spec must produce
-    byte-identical results whatever the execution plan.
-    """
-
-    jobs: int = 1
-    mode: str = "serial"
-    groups: int = 2
-
-    def validate(self) -> None:
-        if self.mode not in EXEC_MODES:
-            raise ScenarioError(
-                f"unknown exec mode {self.mode!r}; expected one of {EXEC_MODES}"
-            )
-        if self.jobs < 0:
-            raise ScenarioError("jobs must be >= 0 (0 = one worker per core)")
-        if self.groups < 2:
-            raise ScenarioError("parallel-shards needs at least two groups")
-
-    def describe(self) -> str:
-        if self.mode == "parallel-shards":
-            return f"parallel-shards(groups={self.groups},jobs={self.jobs})"
-        return f"serial(jobs={self.jobs})"
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, reproducible experiment description."""
@@ -645,9 +601,10 @@ class ScenarioSpec:
     max_events: int = 5_000_000
     # How the recorded history is validated: "online" (default) attaches the
     # incremental checker during the run and flags a violation at the event
-    # introducing it; "final" runs the batch TCSChecker at quiescence (its
-    # graph construction is quadratic in the transaction count); "off" skips
-    # history validation (contradiction detection stays on — it is O(1)).
+    # introducing it; "final" replays the finished history through the same
+    # incremental checker at quiescence (near-linear, like "online", but no
+    # per-event cost while the run executes); "off" skips history
+    # validation (contradiction detection stays on — it is O(1)).
     check_mode: str = "online"
     check_invariants: bool = True
     # Online-checker garbage collection: prune the linearization graph and
@@ -658,10 +615,6 @@ class ScenarioSpec:
     # Correct protocols must produce a safe history; ablation scenarios
     # document the expected violation by setting this to False.
     expect_safe: bool = True
-    # Execution plan (process fan-out / parallel-DES engine).  Excluded
-    # from result dicts: it decides how the run executes, not what it
-    # computes, and every plan must yield byte-identical results.
-    execution: ExecSpec = field(default_factory=ExecSpec)
 
     def validate(self) -> None:
         from repro.cluster import protocol_names  # late: avoid import cycle
@@ -690,19 +643,6 @@ class ScenarioSpec:
         self.read.validate()
         self.detector.validate()
         self.network.validate()
-        self.execution.validate()
-        if self.execution.mode == "parallel-shards":
-            if self.latency.model not in DETERMINISTIC_LATENCY_MODELS or self.latency.jitter:
-                raise ScenarioError(
-                    "parallel-shards requires a deterministic latency model "
-                    f"({', '.join(DETERMINISTIC_LATENCY_MODELS)}; no jitter): "
-                    "random per-message draws would leave the serial RNG order"
-                )
-            if self.execution.groups > self.num_shards:
-                raise ScenarioError(
-                    f"parallel-shards with {self.execution.groups} groups needs "
-                    f"at least that many shards (got {self.num_shards})"
-                )
         for step in self.faults:
             step.validate()
         if self.protocol == PROTOCOL_BASELINE:

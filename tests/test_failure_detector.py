@@ -25,7 +25,7 @@ from repro.core.failuredetector import DetectorPolicy, FailureDetector
 from repro.core.types import Decision
 from repro.runtime.events import Scheduler
 from repro.scenarios import ScenarioRunner, get_scenario
-from repro.scenarios.spec import DetectorSpec, ExecSpec, ScenarioError
+from repro.scenarios.spec import DetectorSpec, ScenarioError
 from repro.scenarios.sweep import (
     DEFAULT_DETECTOR_GRID,
     parse_detector,
@@ -323,18 +323,6 @@ def test_flapping_detector_counts_false_positive_without_view_change():
     assert result.false_suspicions >= 1
     assert result.view_changes == 0  # 1 reporter < confirmations=2
     assert result.unsolicited_reconfigurations == 0
-
-
-def test_detector_scenarios_parallel_shards_digests_identical():
-    for name in DETECTOR_SCENARIOS:
-        spec = get_scenario(name)
-        serial = ScenarioRunner(replace(spec, execution=ExecSpec())).run()
-        grouped = ScenarioRunner(
-            replace(spec, execution=ExecSpec(mode="parallel-shards", groups=2))
-        ).run()
-        assert json.dumps(serial.as_dict(), sort_keys=True) == json.dumps(
-            grouped.as_dict(), sort_keys=True
-        ), name
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,25 @@ def test_concurrent_transactions_have_no_real_time_order():
     assert history.real_time_pairs() == []
 
 
+def test_history_digest_is_payload_order_independent():
+    from repro.core.serializability import TransactionPayload
+
+    def build(reads):
+        history = History()
+        payload = TransactionPayload.make(
+            reads=reads, writes=[(k, 1) for k, _ in reads], tiebreak="t"
+        )
+        history.record_certify("t1", payload, 1.0)
+        return history
+
+    reads = [(f"key-{i}", (0, "")) for i in range(6)]
+    assert build(reads).digest() == build(list(reversed(reads))).digest()
+
+    other = History()
+    other.record_certify("t2", None, 1.0)
+    assert other.digest() != build(reads).digest()
+
+
 # ----------------------------------------------------------------------
 # checker
 # ----------------------------------------------------------------------

@@ -1,13 +1,9 @@
-"""Tests for the multi-core execution tiers (``repro.runtime.parallel``).
+"""Tests for multi-core run fan-out (``repro.runtime.parallel``).
 
-Tier A (process fan-out): seed derivation, deterministic result ordering,
-worker-crash surfacing, and byte-identity of sweeps across ``jobs`` counts.
-
-Tier B (conservative parallel-DES): installation eligibility rules, and the
-headline contract — the grouped engine replays the serial engine's event
-order byte for byte, locked at three levels: in-process result/history
-comparison across the scenario library, subprocess comparison across
-``PYTHONHASHSEED`` values, and the CLI path.
+Seed derivation, deterministic result ordering, worker-crash surfacing,
+byte-identity of runs and sweeps across ``jobs`` counts, and the property
+the process pool relies on: fresh interpreters with different
+``PYTHONHASHSEED`` values produce byte-identical results.
 """
 
 import json
@@ -18,24 +14,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.runtime.network import LognormalLatency, Network, UnitLatency
 from repro.runtime.parallel import (
-    GroupedScheduler,
     ParallelExecutor,
     WorkerError,
     derive_seed,
-    partition_contiguous,
     resolve_jobs,
 )
 from repro.scenarios import (
     BatchSpec,
-    ExecSpec,
     LatencySpec,
-    ScenarioError,
-    ScenarioRunner,
     ScenarioSpec,
-    WorkloadSpec,
     get_scenario,
     run_latency_sweep,
     run_repetitions,
@@ -44,7 +32,6 @@ from repro.scenarios import (
     sort_latency_grid,
 )
 from repro.scenarios.sweep import DEFAULT_BATCH_GRID, DEFAULT_GRID
-from repro.spec.history import History
 
 
 # ----------------------------------------------------------------------
@@ -56,10 +43,6 @@ def _small(name: str, txns: int = 30, **overrides) -> ScenarioSpec:
     return spec.with_overrides(
         workload=replace(spec.workload, txns=txns), **overrides
     )
-
-
-def _shards(groups: int) -> ExecSpec:
-    return ExecSpec(mode="parallel-shards", groups=groups)
 
 
 def _dumps(result) -> str:
@@ -90,7 +73,7 @@ def _explode(value: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Tier A: seeds, executor, crash surfacing
+# seeds, executor, crash surfacing
 # ----------------------------------------------------------------------
 
 def test_derive_seed_is_deterministic_and_scattered():
@@ -207,178 +190,34 @@ def test_sort_batch_grid_orders_by_size_then_linger():
 
 
 # ----------------------------------------------------------------------
-# Tier B: eligibility and installation rules
+# cross-process determinism (PYTHONHASHSEED)
 # ----------------------------------------------------------------------
 
-def test_grouped_scheduler_needs_two_groups():
-    with pytest.raises(ValueError):
-        GroupedScheduler(1)
+_SUBPROCESS_CASES = (
+    "steady-state",
+    "wan-steady-state",  # regions + jitter: exercises the network RNG
+    "batch-saturation",
+    "read-heavy-steady-state",
+    "detector-leader-crash",
+    "saturated-link",
+    "rdma-steady-state",
+    "baseline-steady-state",
+)
 
 
-def test_partition_contiguous_is_balanced_and_contiguous():
-    items = [f"shard-{i}" for i in range(5)]
-    partition = partition_contiguous(items, 2)
-    assert [partition[i] for i in items] == [0, 0, 0, 1, 1]
-    assert partition_contiguous(items, 5) == {item: i for i, item in enumerate(items)}
-    with pytest.raises(ValueError):
-        partition_contiguous(items, 6)
-    with pytest.raises(ValueError):
-        partition_contiguous(items, 0)
-
-
-def test_install_rejects_random_latency_models():
-    scheduler = GroupedScheduler(2)
-    network = Network(scheduler, latency=LognormalLatency(mean=1.0, sigma=0.5), seed=0)
-    with pytest.raises(ValueError, match="deterministic latency"):
-        scheduler.install(network, {})
-
-
-def test_install_rejects_unknown_group_indices():
-    scheduler = GroupedScheduler(2)
-    network = Network(scheduler, latency=UnitLatency(), seed=0)
-    with pytest.raises(ValueError, match="unknown groups"):
-        scheduler.install(network, {"p0": 0, "p1": 5})
-
-
-def test_spec_validation_rejects_ineligible_parallel_shards():
-    base = get_scenario("steady-state")
-    with pytest.raises(ScenarioError, match="deterministic"):
-        base.with_overrides(
-            latency=LatencySpec(model="lognormal", mean=1.0, sigma=0.5),
-            execution=_shards(2),
-        ).validate()
-    with pytest.raises(ScenarioError):
-        base.with_overrides(num_shards=2, execution=_shards(4)).validate()
-    with pytest.raises(ScenarioError, match="mode"):
-        ExecSpec(mode="quantum").validate()
-    with pytest.raises(ScenarioError):
-        ExecSpec(jobs=-1).validate()
-    with pytest.raises(ScenarioError):
-        ExecSpec(mode="parallel-shards", groups=1).validate()
-
-
-def test_wan_jitter_is_rejected_for_parallel_shards():
-    wan = get_scenario("wan-steady-state")
-    assert wan.latency.jitter > 0  # the library scenario keeps its jitter
-    with pytest.raises(ScenarioError):
-        wan.with_overrides(execution=_shards(3)).validate()
-
-
-def test_cluster_exposes_positive_lookahead_when_grouped():
-    cluster = Cluster(num_shards=4, groups=2)
-    assert isinstance(cluster.scheduler, GroupedScheduler)
-    assert cluster.scheduler.lookahead > 0.0
-
-
-# ----------------------------------------------------------------------
-# Tier B: serial-equivalence battery (in-process)
-# ----------------------------------------------------------------------
-
-EQUIVALENCE_CASES = [
-    ("steady-state", 2),
-    ("steady-state", 4),
-    ("batch-saturation", 2),
-    ("batch-saturation", 4),
-    ("leader-crash-under-load", 2),
-    ("cascading-crashes", 2),
-    ("baseline-steady-state", 2),
-    ("rolling-reconfiguration", 2),
-    ("read-heavy-steady-state", 2),
-    ("read-heavy-steady-state", 4),
-    ("stale-lease-ablation", 2),
-    ("detector-leader-crash", 2),
-    ("gray-failure-slow-leader", 2),
-    ("saturated-link", 2),
-    ("bandwidth-knee", 2),
-    ("bandwidth-knee", 4),
-]
-
-
-@pytest.mark.parametrize("name,groups", EQUIVALENCE_CASES)
-def test_parallel_shards_replay_serial_run_exactly(name, groups):
-    serial = ScenarioRunner(_small(name)).run()
-    grouped = ScenarioRunner(_small(name, execution=_shards(groups))).run()
-    assert grouped.history_digest == serial.history_digest
-    assert _dumps(grouped) == _dumps(serial)
-
-
-def test_parallel_shards_replay_wan_run_exactly():
-    wan = get_scenario("wan-steady-state")
-    flat = replace(wan.latency, jitter=0.0)  # random jitter is ineligible
-    serial = ScenarioRunner(_small("wan-steady-state", latency=flat)).run()
-    grouped = ScenarioRunner(
-        _small("wan-steady-state", latency=flat, execution=_shards(3))
-    ).run()
-    assert grouped.history_digest == serial.history_digest
-    assert _dumps(grouped) == _dumps(serial)
-
-
-def test_grouped_cluster_event_accounting_matches_serial():
-    """Not just the history: the engine-level counters (events fired, final
-    clock) must agree once the schedule drains, so metrics derived from
-    them stay comparable.  (At a mid-run ``run_until`` stop the *set* of
-    fired events can transiently differ — the grouped engine executes a
-    window group by group while the serial engine interleaves groups by
-    time — which is why the drain matters and why the scenario runner
-    always drains before collecting metrics.)"""
-    from repro.core.serializability import TransactionPayload
-
-    def drive(groups: int):
-        cluster = Cluster(num_shards=4, num_clients=2, seed=3, groups=groups)
-        payloads = [
-            TransactionPayload.make(
-                reads=[(f"k{i}", (0, "")), (f"k{i+7}", (0, ""))],
-                writes=[(f"k{i}", i)],
-                tiebreak=f"t{i}",
-            )
-            for i in range(40)
-        ]
-        cluster.certify_many(payloads)
-        cluster.run()  # drain in-flight cleanup traffic
-        return cluster
-
-    serial = drive(0)
-    grouped = drive(2)
-    assert grouped.history.digest() == serial.history.digest()
-    assert grouped.scheduler.events_fired == serial.scheduler.events_fired
-    assert grouped.scheduler.now == serial.scheduler.now
-    assert grouped.message_stats.total_sent == serial.message_stats.total_sent
-
-
-# ----------------------------------------------------------------------
-# Tier B + A: cross-process determinism (PYTHONHASHSEED)
-# ----------------------------------------------------------------------
-
-_SUBPROCESS_CASES = {
-    "steady-state": "",
-    "wan-steady-state": "latency=replace(s.latency, jitter=0.0),",
-    "batch-saturation": "",
-    "read-heavy-steady-state": "",
-    "detector-leader-crash": "",
-    "saturated-link": "",
-}
-
-
-@pytest.mark.parametrize("scenario", sorted(_SUBPROCESS_CASES))
-def test_parallel_shards_identical_across_interpreter_hash_seeds(scenario):
-    """The acceptance lock for the grouped engine: fresh interpreters with
-    different hash seeds must produce byte-identical results, and the
-    grouped result must equal the serial result — any hash-order or
-    group-order leak in the engine shows up here as a diff."""
-    override = _SUBPROCESS_CASES[scenario]
+@pytest.mark.parametrize("scenario", _SUBPROCESS_CASES)
+def test_serial_run_identical_across_interpreter_hash_seeds(scenario):
+    """Fresh interpreters with different hash seeds must produce
+    byte-identical results — pool workers and the parent never share a
+    hash seed, so any hash-order leak in a protocol stack, the network or
+    the result collection shows up here as a diff."""
     script = (
         "import json;"
         "from dataclasses import replace;"
-        "from repro.scenarios import ExecSpec, ScenarioRunner, get_scenario;"
+        "from repro.scenarios import ScenarioRunner, get_scenario;"
         f"s = get_scenario('{scenario}');"
-        f"s = s.with_overrides({override}"
-        " workload=replace(s.workload, txns=40));"
-        "g = s.with_overrides("
-        "  execution=ExecSpec(mode='parallel-shards', groups=min(3, s.num_shards)));"
-        "serial = ScenarioRunner(s).run().as_dict();"
-        "grouped = ScenarioRunner(g).run().as_dict();"
-        "assert serial == grouped, 'grouped run diverged from serial';"
-        "print(json.dumps(grouped, sort_keys=True))"
+        "s = s.with_overrides(workload=replace(s.workload, txns=40));"
+        "print(json.dumps(ScenarioRunner(s).run().as_dict(), sort_keys=True))"
     )
     import repro
 
@@ -396,50 +235,14 @@ def test_parallel_shards_identical_across_interpreter_hash_seeds(scenario):
             text=True,
             check=True,
         )
-        outputs.append(completed.stdout)
+        outputs.append(json.loads(completed.stdout))
     assert outputs[0] == outputs[1]
-    assert '"history_digest": ""' not in outputs[0]  # digest actually recorded
-
-
-# ----------------------------------------------------------------------
-# history digests
-# ----------------------------------------------------------------------
-
-def test_history_digest_is_payload_order_independent():
-    from repro.core.serializability import TransactionPayload
-
-    def build(reads):
-        history = History()
-        payload = TransactionPayload.make(
-            reads=reads, writes=[(k, 1) for k, _ in reads], tiebreak="t"
-        )
-        history.record_certify("t1", payload, 1.0)
-        return history
-
-    reads = [(f"key-{i}", (0, "")) for i in range(6)]
-    assert build(reads).digest() == build(list(reversed(reads))).digest()
-
-    other = History()
-    other.record_certify("t2", None, 1.0)
-    assert other.digest() != build(reads).digest()
+    assert outputs[0]["history_digest"]  # digest actually recorded
 
 
 # ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
-
-def test_cli_parallel_shards_matches_serial_output(capsys):
-    from repro.scenarios.__main__ import main
-
-    assert main(["run", "steady-state", "--txns", "30", "--json"]) == 0
-    serial_out = capsys.readouterr().out
-    assert (
-        main(["run", "steady-state", "--txns", "30", "--parallel-shards", "2", "--json"])
-        == 0
-    )
-    grouped_out = capsys.readouterr().out
-    assert serial_out == grouped_out
-
 
 def test_cli_run_accepts_multiple_scenarios(capsys):
     from repro.scenarios.__main__ import main

@@ -23,6 +23,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.__main__ import main as scenarios_main
+from repro.spec.checker import TCSChecker
 from repro.spec.history import History
 
 
@@ -196,6 +197,31 @@ def test_online_and_final_agree_under_faults():
     final = run_scenario(spec, check_mode="final")
     assert online.check_ok == final.check_ok
     assert online.passed and final.passed
+
+
+@pytest.mark.parametrize("name", ["ablation-safety-demo", "stale-lease-ablation"])
+def test_final_mode_flags_ablations_without_the_batch_checker(monkeypatch, name):
+    """``final`` replays the finished history through the incremental
+    checker; the batch TCSChecker (quadratic in the transaction count) is
+    never consulted, yet both ablations are still caught."""
+    def refuse(self, history):
+        raise AssertionError("check_mode='final' must not run the batch checker")
+
+    monkeypatch.setattr(TCSChecker, "check", refuse)
+    result = run_scenario(get_scenario(name), check_mode="final")
+    assert not result.check_ok
+    assert result.check_reason
+    assert result.passed
+
+
+@pytest.mark.parametrize(
+    "name", ["leader-crash-under-load", "ablation-safety-demo", "stale-lease-ablation"]
+)
+def test_final_mode_verdict_matches_batch_oracle(name):
+    runner = ScenarioRunner(get_scenario(name).with_overrides(check_mode="final"))
+    result = runner.run()
+    oracle = TCSChecker(runner.cluster.scheme).check(runner.cluster.history)
+    assert result.check_ok == oracle.ok
 
 
 # ----------------------------------------------------------------------
